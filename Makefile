@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet bench-check bench-async bench-views fuzz bench clean
+.PHONY: all build test tier1 vet fmtcheck verify race faults obs obsdeps integrity async cover apicheck leasecheck commitvet bench-check bench-async bench-views fuzz bench clean
 
 all: tier1
 
@@ -17,7 +17,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-tier1: build vet test
+# fmtcheck fails when any Go file in the module is not gofmt-formatted.
+fmtcheck:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+tier1: fmtcheck build vet test
 
 # verify is the pre-merge checklist: the tier-1 gate, the race detector, the
 # fault-injection suite, the observability gates, the integrity battery, and

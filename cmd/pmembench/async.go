@@ -181,9 +181,10 @@ func runAsyncAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	}
 
 	// Harness parity: the same pipeline through the pio surface — Params.Async
-	// applies pio.Asyncable, session writes queue, Close drains — with every
-	// byte verified on read-back. This is a correctness cross-check on the
-	// bulk-transfer workload, not a small-write measurement.
+	// reaches the library through Configure, session writes queue, Close
+	// drains — with every byte verified on read-back. This is a correctness
+	// cross-check on the bulk-transfer workload, not a small-write
+	// measurement.
 	p := base
 	p.Verify = true
 	p.Async = true

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,16 +73,18 @@ func main() {
 		fatal(err)
 	}
 	base := harness.Params{
-		TotalBytes:      int64(*size / scale),
-		Vars:            *vars,
-		Config:          sim.DefaultConfig().Scale(scale),
-		Verify:          *verify,
-		Runs:            *runs,
-		Pattern:         pat,
-		ReadRanks:       *readprocs,
-		Parallelism:     *parallel,
-		ReadParallelism: *readpar,
-		Metrics:         *metrics != "",
+		TotalBytes: int64(*size / scale),
+		Vars:       *vars,
+		Config:     sim.DefaultConfig().Scale(scale),
+		Verify:     *verify,
+		Runs:       *runs,
+		Pattern:    pat,
+		ReadRanks:  *readprocs,
+		Capabilities: pio.Capabilities{
+			Parallelism:     *parallel,
+			ReadParallelism: *readpar,
+			Metrics:         *metrics != "",
+		},
 	}
 	fmt.Printf("pmembench: modelled %.1f GB across %d rectangles, profile scale %.0fx (physical %.0f MB)\n\n",
 		*size/1e9, *vars, scale, float64(base.TotalBytes)/1e6)
@@ -118,9 +121,13 @@ func main() {
 		fatal(err)
 	}
 	if *ablation != "" {
-		fmt.Printf("ABLATION %q (writes):\n", *ablation)
-		harness.Table(os.Stdout, results, "write")
-		fmt.Printf("\nABLATION %q (reads):\n", *ablation)
+		// Read-only sweeps (E18) record no write phase; skip its empty table.
+		if slices.ContainsFunc(results, func(r harness.Result) bool { return r.Write != 0 }) {
+			fmt.Printf("ABLATION %q (writes):\n", *ablation)
+			harness.Table(os.Stdout, results, "write")
+			fmt.Println()
+		}
+		fmt.Printf("ABLATION %q (reads):\n", *ablation)
 		harness.Table(os.Stdout, results, "read")
 	}
 	if *csvPath != "" {
@@ -438,11 +445,8 @@ type named struct {
 func (n named) Name() string { return n.name }
 
 // Configure forwards capability configuration to the wrapped library,
-// keeping the display name. This is the pitfall pio.Capabilities exists to
-// close: the old probe-per-interface protocol silently lost capabilities
-// behind wrappers like this one unless every interface was re-plumbed, so
-// harness configuration (worker pools, verified reads, async batching,
-// striping) never reached the inner library.
+// keeping the display name, so harness configuration (worker pools, verified
+// reads, async batching, striping) reaches the inner library.
 func (n named) Configure(c pio.Capabilities) pio.Library {
 	if cz, ok := n.Library.(pio.Configurable); ok {
 		return named{cz.Configure(c), n.name}

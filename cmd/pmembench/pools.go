@@ -131,8 +131,8 @@ func runPoolsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 	}
 
 	// Harness parity: the same striping through the pio surface — Params.Pools
-	// applies pio.Poolable, the node carries one device per member — with
-	// every byte verified on read-back.
+	// reaches the library through Configure, the node carries one device per
+	// member — with every byte verified on read-back.
 	p := base
 	p.Verify = true
 	p.Pools = 4

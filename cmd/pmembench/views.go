@@ -125,8 +125,8 @@ func runViewsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 
 	var all []harness.Result
 	fmt.Printf("E18 — ZERO-COPY LEASED READ VIEWS (virtual time per read, %d ranks, %d reps):\n", ranks, reps)
-	fmt.Printf("%-8s %12s %12s %10s %18s\n", "SIZE", "COPY", "VIEW", "SPEEDUP", "ZERO-COPY/FALLBK")
-	fmt.Println(strings.Repeat("-", 64))
+	fmt.Printf("%-8s %14s %14s %13s %18s\n", "SIZE", "COPY (µs)", "VIEW (µs)", "SPEEDUP", "ZERO-COPY/FALLBK")
+	fmt.Println(strings.Repeat("-", 71))
 	var gateErr error
 	for _, size := range sizes {
 		cell, err := runViewsCase(base.Config, ranks, "raw", size, reps)
@@ -134,8 +134,8 @@ func runViewsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 			return all, fmt.Errorf("views ablation size=%d: %w", size, err)
 		}
 		speedup := float64(cell.copyT) / float64(cell.viewT)
-		fmt.Printf("%-8s %11.6fs %11.6fs %9.2fx %12d/%d\n",
-			sizeLabel(size), cell.copyT.Seconds(), cell.viewT.Seconds(), speedup,
+		fmt.Printf("%-8s %14.3f %14.3f %12.2fx %12d/%d\n",
+			sizeLabel(size), micros(cell.copyT), micros(cell.viewT), speedup,
 			cell.zeroCopy, cell.fallback)
 		if cell.fallback != 0 || cell.zeroCopy == 0 {
 			return all, fmt.Errorf("views ablation size=%d: identity-codec single-block reads took the fallback path (%d zero-copy, %d fallback)",
@@ -166,8 +166,8 @@ func runViewsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 		return all, fmt.Errorf("views ablation bp4 fallback: %w", err)
 	}
 	ratio := float64(cell.viewT) / float64(cell.copyT)
-	fmt.Printf("\nfallback parity (bp4, %s): copy %.6fs, view %.6fs (%.2fx), %d/%d zero-copy/fallback\n",
-		sizeLabel(viewsGateSize), cell.copyT.Seconds(), cell.viewT.Seconds(), ratio,
+	fmt.Printf("\nfallback parity (bp4, %s): copy %.3fµs, view %.3fµs (%.2fx), %d/%d zero-copy/fallback\n",
+		sizeLabel(viewsGateSize), micros(cell.copyT), micros(cell.viewT), ratio,
 		cell.zeroCopy, cell.fallback)
 	if cell.zeroCopy != 0 || cell.fallback == 0 {
 		return all, fmt.Errorf("views ablation: bp4 reads reported %d zero-copy opens, want pure fallback", cell.zeroCopy)
@@ -188,6 +188,10 @@ func runViewsAblation(rankCounts []int, base harness.Params) ([]harness.Result, 
 		viewsSpeedupTarget, sizeLabel(viewsGateSize))
 	return all, nil
 }
+
+// micros renders a virtual duration in microseconds: a view open costs one
+// device read latency, far below what a seconds column can show.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 func sizeLabel(size int64) string {
 	if size >= 1<<20 {

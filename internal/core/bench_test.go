@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"pmemcpy/internal/bytesview"
@@ -10,6 +11,17 @@ import (
 	"pmemcpy/internal/serial"
 )
 
+// benchFloats returns n seeded pseudo-random float64s, so bp4's min/max
+// branches are not trivially predictable the way all-zero data makes them.
+func benchFloats(n uint64) []float64 {
+	r := rand.New(rand.NewPCG(1, 2))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = r.Float64()
+	}
+	return vals
+}
+
 // benchStore measures single-rank StoreBlock wall throughput (real encode +
 // copy into the mapped pool).
 func BenchmarkStoreBlock(b *testing.B) {
@@ -17,7 +29,7 @@ func BenchmarkStoreBlock(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
 			n := newNode()
 			elems := uint64(kb << 10 / 8)
-			vals := make([]float64, elems)
+			vals := benchFloats(elems)
 			b.SetBytes(int64(kb) << 10)
 			_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 				p, err := core.Mmap(c, n, "/bench.pool", nil)
@@ -57,7 +69,7 @@ func BenchmarkStoreBlock(b *testing.B) {
 func BenchmarkLoadBlock(b *testing.B) {
 	n := newNode()
 	const elems = 128 << 10 / 8
-	vals := make([]float64, elems)
+	vals := benchFloats(elems)
 	b.SetBytes(elems * 8)
 	_, err := mpi.Run(n.Machine, 1, func(c *mpi.Comm) error {
 		p, err := core.Mmap(c, n, "/benchr.pool", nil)

@@ -735,9 +735,9 @@ func (p *PMEM) Pools() int { return p.st.npools() }
 func (p *PMEM) HomePool(id string) int { return p.st.homeIdx(id) }
 
 // homeIdx, homePool and homeHT are the handle-side routing shorthands.
-func (p *PMEM) homeIdx(id string) int          { return p.st.homeIdx(id) }
-func (p *PMEM) homePool(id string) *pmdk.Pool  { return p.st.poolAt(p.st.homeIdx(id)) }
-func (p *PMEM) poolOf(pi uint8) *pmdk.Pool     { return p.st.poolAt(int(pi)) }
+func (p *PMEM) homeIdx(id string) int         { return p.st.homeIdx(id) }
+func (p *PMEM) homePool(id string) *pmdk.Pool { return p.st.poolAt(p.st.homeIdx(id)) }
+func (p *PMEM) poolOf(pi uint8) *pmdk.Pool    { return p.st.poolAt(int(pi)) }
 func (p *PMEM) homeHT(id string) *pmdk.Hashtable {
 	return p.st.htAt(p.st.homeIdx(id))
 }
@@ -768,91 +768,87 @@ func (p *PMEM) readPort(pi int) *sim.Pool {
 // design eliminates.
 func (p *PMEM) chargeStoreBytes(pi int, n int64, passes float64) {
 	if !p.st.staged {
-		p.chargeDirectWrite(pi, n, passes)
+		p.chargeMove(moveStore, []int64{n}, []int{pi}, passes, 1)
 		return
 	}
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
-	clk.Advance(sim.MoveCost(int64(float64(n)*passes), cfg.SerializeBPS,
-		m.Oversub(p.comm.Size()), m.DRAM))
-	p.st.poolAt(pi).Mapping().ChargeWrite(clk, n)
+	p.chargeStagedPass(moveStore, n, passes)
+	p.st.poolAt(pi).Mapping().ChargeWrite(p.comm.Clock(), n)
 }
 
-// chargeDirectWrite accounts a single serialization pass that streams bytes
-// straight into pool pi's mapped PMEM: bounded by the per-core encode rate
-// and the device write port, plus the MAP_SYNC write-through penalty if
-// enabled. This single charge — instead of a DRAM pass followed by a device
+// moveDir is the direction of a movement between DRAM and a pool's device.
+type moveDir int
+
+const (
+	moveStore moveDir = iota // serialize from DRAM into the device
+	moveLoad                 // deserialize from the device into DRAM
+)
+
+// chargeMove accounts one movement of encoded bytes between DRAM and mapped
+// PMEM: perPool[i] bytes stream into (or out of) pool pis[i], driven by
+// `workers` goroutines split across the stripes in proportion to their
+// bytes. This single charge — instead of a DRAM pass followed by a device
 // pass — is the heart of the paper's claim.
 //
-// Codec passes beyond the first (e.g. BP4's min/max characterization) only
-// re-read the source data in DRAM; they never touch the device, so their
-// cost is CPU/DRAM-bound and charged separately.
-func (p *PMEM) chargeDirectWrite(pi int, n int64, passes float64) {
+// The CPU side scales with the worker count (discounted by the
+// oversubscription of ranks*workers total threads) and the device side by
+// the port's GroupShare: several concurrent streams lift the single-thread
+// PMEM cap until the rank's slice of the device bandwidth is saturated, the
+// behaviour measured by "Persistent Memory I/O Primitives". The pools'
+// devices operate concurrently, so virtual time advances by the SLOWEST
+// stripe — not the sum — which is the aggregate-bandwidth win of a sharded
+// namespace. Codec passes beyond the first (e.g. BP4's min/max
+// characterization) only re-read the data in DRAM, and the MAP_SYNC
+// write-through penalty is paid per line; both are charged once over the
+// total, split across all workers. With one pool and one worker this is the
+// serial single-pass charge.
+func (p *PMEM) chargeMove(dir moveDir, perPool []int64, pis []int, passes float64, workers int) {
 	m := p.node.Machine
 	cfg := m.Config()
 	clk := p.comm.Clock()
-	clk.Advance(cfg.PMEMWriteLatency)
-	clk.Advance(sim.MoveCost(n, cfg.SerializeBPS, m.Oversub(p.comm.Size()), p.writePort(pi)))
-	if passes > 1 {
-		extra := int64(float64(n) * (passes - 1))
-		clk.Advance(sim.MoveCost(extra, cfg.SerializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
+	lat, bps := cfg.PMEMWriteLatency, cfg.SerializeBPS
+	if dir == moveLoad {
+		lat, bps = cfg.PMEMReadLatency, cfg.DeserializeBPS
 	}
-	if p.st.mapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
-	}
-}
-
-// chargeParallelStore accounts one parallel store into pool pi: `workers`
-// goroutines each stream a shard of the n encoded bytes straight into mapped
-// PMEM. The CPU side scales with the worker count (discounted by the
-// oversubscription of ranks*workers total threads) and the device side by the
-// port's GroupShare — several concurrent streams lift the single-thread PMEM
-// write cap until the rank's slice of the device bandwidth is saturated, the
-// behaviour measured by "Persistent Memory I/O Primitives". The MAP_SYNC
-// write-through penalty is paid per line but the lines are split across
-// workers.
-func (p *PMEM) chargeParallelStore(pi int, n int64, passes float64, workers int) {
-	p.chargeStripedStore([]int64{n}, []int{pi}, passes, workers)
-}
-
-// chargeStripedStore accounts one parallel store striped over several pools:
-// perPool[i] encoded bytes stream into pool pis[i], with the worker pool
-// split across the stripes in proportion to their bytes. The pools' devices
-// operate concurrently, so virtual time advances by the SLOWEST stripe — not
-// the sum — which is exactly the aggregate-bandwidth win of a sharded
-// namespace (and why Advance-per-pool would model it away). Extra codec
-// passes and the MAP_SYNC per-line penalty are charged once over the total,
-// split across all workers.
-func (p *PMEM) chargeStripedStore(perPool []int64, pis []int, passes float64, workers int) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
 	over := m.Oversub(p.comm.Size() * workers)
 	var total int64
 	for _, n := range perPool {
 		total += n
 	}
-	clk.Advance(cfg.PMEMWriteLatency)
+	clk.Advance(lat)
 	var slowest time.Duration
 	for i, n := range perPool {
+		port := p.writePort(pis[i])
+		if dir == moveLoad {
+			port = p.readPort(pis[i])
+		}
 		w := stripeWorkers(workers, n, total, len(perPool))
-		d := sim.MoveCostParallel(n, cfg.SerializeBPS, over, w, p.writePort(pis[i]))
-		if d > slowest {
+		if d := sim.MoveCostParallel(n, bps, over, w, port); d > slowest {
 			slowest = d
 		}
 	}
 	clk.Advance(slowest)
 	if passes > 1 {
 		extra := int64(float64(total) * (passes - 1))
-		clk.Advance(sim.MoveCostParallel(extra, cfg.SerializeBPS, over, workers, m.DRAM))
+		clk.Advance(sim.MoveCostParallel(extra, bps, over, workers, m.DRAM))
 	}
 	if p.st.mapSync {
 		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
 		perWorker := (lines + int64(workers) - 1) / int64(workers)
 		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
 	}
+}
+
+// chargeStagedPass accounts a codec pass over n bytes that runs entirely in
+// DRAM: the staging ablation's encode into a buffer, and the hierarchical
+// layout's encode and decode around its kernel-path file I/O.
+func (p *PMEM) chargeStagedPass(dir moveDir, n int64, passes float64) {
+	m := p.node.Machine
+	bps := m.Config().SerializeBPS
+	if dir == moveLoad {
+		bps = m.Config().DeserializeBPS
+	}
+	p.comm.Clock().Advance(sim.MoveCost(int64(float64(n)*passes), bps,
+		m.Oversub(p.comm.Size()), m.DRAM))
 }
 
 // stripeWorkers splits a worker pool across stripes proportionally to bytes:
@@ -867,65 +863,6 @@ func stripeWorkers(workers int, n, total int64, stripes int) int {
 		w = 1
 	}
 	return w
-}
-
-// chargeDirectRead accounts a single deserialization pass streaming from
-// pool pi's mapped PMEM into the destination buffer; extra codec passes stay
-// in DRAM.
-func (p *PMEM) chargeDirectRead(pi int, n int64, passes float64) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
-	clk.Advance(cfg.PMEMReadLatency)
-	clk.Advance(sim.MoveCost(n, cfg.DeserializeBPS, m.Oversub(p.comm.Size()), p.readPort(pi)))
-	if passes > 1 {
-		extra := int64(float64(n) * (passes - 1))
-		clk.Advance(sim.MoveCost(extra, cfg.DeserializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-	}
-	if p.st.mapSync {
-		lines := (n + sim.CachelineSize - 1) / sim.CachelineSize
-		clk.Advance(time.Duration(lines) * cfg.MapSyncLine)
-	}
-}
-
-// chargeParallelRead accounts one parallel gather out of pool pi: `workers`
-// goroutines each stream a slice of the n encoded bytes out of mapped PMEM.
-// The mirror image of chargeParallelStore.
-func (p *PMEM) chargeParallelRead(pi int, n int64, passes float64, workers int) {
-	p.chargeStripedRead([]int64{n}, []int{pi}, passes, workers)
-}
-
-// chargeStripedRead is the gather-side mirror of chargeStripedStore: per-pool
-// byte totals stream out of their devices concurrently and virtual time
-// advances by the slowest stripe.
-func (p *PMEM) chargeStripedRead(perPool []int64, pis []int, passes float64, workers int) {
-	m := p.node.Machine
-	cfg := m.Config()
-	clk := p.comm.Clock()
-	over := m.Oversub(p.comm.Size() * workers)
-	var total int64
-	for _, n := range perPool {
-		total += n
-	}
-	clk.Advance(cfg.PMEMReadLatency)
-	var slowest time.Duration
-	for i, n := range perPool {
-		w := stripeWorkers(workers, n, total, len(perPool))
-		d := sim.MoveCostParallel(n, cfg.DeserializeBPS, over, w, p.readPort(pis[i]))
-		if d > slowest {
-			slowest = d
-		}
-	}
-	clk.Advance(slowest)
-	if passes > 1 {
-		extra := int64(float64(total) * (passes - 1))
-		clk.Advance(sim.MoveCostParallel(extra, cfg.DeserializeBPS, over, workers, m.DRAM))
-	}
-	if p.st.mapSync {
-		lines := (total + sim.CachelineSize - 1) / sim.CachelineSize
-		perWorker := (lines + int64(workers) - 1) / int64(workers)
-		clk.Advance(time.Duration(perWorker) * cfg.MapSyncLine)
-	}
 }
 
 // Alloc declares the final global dimensions of array id (Figure 2's

@@ -117,21 +117,6 @@ func (h *hierStore) keys(clk *sim.Clock) ([]string, error) {
 	return out, nil
 }
 
-// chargeStagedEncode accounts serializing into a DRAM buffer (the
-// hierarchical layout writes through the kernel path, so it cannot encode
-// straight into the device).
-func (h *hierStore) chargeStagedEncode(p *PMEM, n int64, passes float64) {
-	m := h.node.Machine
-	p.comm.Clock().Advance(sim.MoveCost(int64(float64(n)*passes),
-		m.Config().SerializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-}
-
-func (h *hierStore) chargeStagedDecode(p *PMEM, n int64, passes float64) {
-	m := h.node.Machine
-	p.comm.Clock().Advance(sim.MoveCost(int64(float64(n)*passes),
-		m.Config().DeserializeBPS, m.Oversub(p.comm.Size()), m.DRAM))
-}
-
 // storeDatum writes one whole value as a single-record file: a staged plan
 // whose frame is the 1-byte type prefix, executed by the commit engine.
 func (h *hierStore) storeDatum(p *PMEM, id string, d *serial.Datum) error {
@@ -159,7 +144,7 @@ func (h *hierStore) loadDatum(p *PMEM, id string) (*serial.Datum, error) {
 		return nil, err
 	}
 	_, decPasses := p.codec.CostProfile()
-	h.chargeStagedDecode(p, int64(len(raw)), decPasses)
+	p.chargeStagedPass(moveLoad, int64(len(raw)), decPasses)
 	return d.Clone(), nil
 }
 
@@ -250,7 +235,7 @@ func (h *hierStore) loadBlock(p *PMEM, id string, rec dimsRecord, offs, counts [
 		if err != nil {
 			return err
 		}
-		h.chargeStagedDecode(p, encLen, decPasses)
+		p.chargeStagedPass(moveLoad, encLen, decPasses)
 		if err := nd.PlaceIntersection(dst, offs, counts, d.Payload, bOffs, bCnts,
 			isOffs, isCnts, esize); err != nil {
 			return err

@@ -176,7 +176,7 @@ func (p *PMEM) loadJobsSerial(jobs []copyJob, offs, counts []uint64, dst []byte,
 		if err != nil {
 			return err
 		}
-		p.chargeDirectRead(int(job.src.pool), job.bytes, decPasses)
+		p.chargeMove(moveLoad, []int64{job.bytes}, []int{int(job.src.pool)}, decPasses, 1)
 		if err := p.gatherJob(job, src, dst, offs, counts, esize); err != nil {
 			return err
 		}
@@ -247,7 +247,7 @@ func (p *PMEM) loadJobsParallel(jobs []copyJob, offs, counts []uint64, dst []byt
 			pis = append(pis, pi)
 		}
 	}
-	p.chargeStripedRead(perPool, pis, decPasses, workers)
+	p.chargeMove(moveLoad, perPool, pis, decPasses, workers)
 	p.st.parallelReads.Add(1)
 	p.st.parallelReadJobs.Add(int64(len(jobs)))
 	return nil

@@ -145,7 +145,7 @@ func (p *PMEM) BlockStatsOf(id string) ([]BlockStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.chargeDirectRead(int(b.pool), int64(len(d.Payload)), 1)
+		p.chargeMove(moveLoad, []int64{int64(len(d.Payload))}, []int{int(b.pool)}, 1, 1)
 		mn, mx, okScan := scanMinMax(rec.dtype, d.Payload)
 		bs.Min, bs.Max, bs.HasStats = mn, mx, okScan
 		out = append(out, bs)

@@ -234,7 +234,7 @@ func (p *PMEM) loadDatum(id string) (*serial.Datum, int64, error) {
 		return nil, 0, err
 	}
 	_, decPasses := p.codec.CostProfile()
-	p.chargeDirectRead(home, n, decPasses)
+	p.chargeMove(moveLoad, []int64{n}, []int{home}, decPasses, 1)
 	out := d.Clone() // the caller's datum must not alias the pool
 	_ = clk
 	return out, n, nil

@@ -106,7 +106,7 @@ func eqRecords(t *testing.T, codec string, pools int, mode string) map[string]st
 		if err := storeDatum("S", &serial.Datum{Type: serial.Bytes, Payload: []byte("unified write engine")}); err != nil {
 			return err
 		}
-		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128 * 8, 7)}); err != nil {
+		if err := storeDatum("D", &serial.Datum{Type: serial.Float64, Dims: []uint64{128}, Payload: eqPattern(128*8, 7)}); err != nil {
 			return err
 		}
 		for k := 0; k < 8; k++ {

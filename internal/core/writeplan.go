@@ -336,7 +336,7 @@ func (e commitEngine) fillChunked(plan *writePlan, units []*writeUnit) error {
 	if in := p.st.ins; in.enabled {
 		in.shardBytes.Observe(chunk)
 	}
-	p.chargeParallelStore(int(u.pool), need, plan.encPasses, workers)
+	p.chargeMove(moveStore, []int64{need}, []int{int(u.pool)}, plan.encPasses, workers)
 	if err := pool.Mapping().Persist(clk, int64(u.blk), need, u.point); err != nil {
 		return err
 	}
@@ -416,7 +416,7 @@ func (e commitEngine) fillSharded(plan *writePlan, units []*writeUnit) error {
 			pis = append(pis, pi)
 		}
 	}
-	p.chargeStripedStore(perPool, pis, plan.encPasses, len(units))
+	p.chargeMove(moveStore, perPool, pis, plan.encPasses, len(units))
 	for _, u := range units {
 		if err := p.poolOf(u.pool).Mapping().Persist(clk, int64(u.blk), u.wrote, u.point); err != nil {
 			return err
@@ -577,7 +577,7 @@ func (e commitEngine) runStaged(h *hierStore, plan *stagedPlan) error {
 		binary.LittleEndian.PutUint64(enc[hdrLen-8:], uint64(wrote))
 	}
 	total := int64(hdrLen) + int64(wrote)
-	h.chargeStagedEncode(p, total, encPasses)
+	p.chargeStagedPass(moveStore, total, encPasses)
 
 	lock := p.varLock(plan.id)
 	lock.Lock()

@@ -44,35 +44,15 @@ type Params struct {
 	// ReadRanks overrides the reader count for the restart pattern
 	// (0 = same as Ranks).
 	ReadRanks int
-	// Parallelism asks the library for this many copy workers per rank
-	// (libraries that do not implement pio.Parallelizable ignore it).
-	Parallelism int
-	// ReadParallelism asks the library for this many gather workers per rank
-	// (libraries that do not implement pio.ReadParallelizable ignore it;
-	// 0 follows Parallelism, 1 forces serial reads).
-	ReadParallelism int
-	// Metrics asks the library for instrumented sessions (libraries that do
-	// not implement pio.Instrumentable ignore it) and captures an
-	// observability snapshot per phase into the Result.
-	Metrics bool
-	// VerifyReads asks the library for checksum-verified reads at the given
-	// mode (0 = off, 1 = sampled, 2 = full; libraries that do not implement
-	// pio.Verifiable ignore it). Used by the integrity ablation (E15).
-	VerifyReads int
-	// Async asks the library for asynchronously pipelined writes (libraries
-	// that do not implement pio.Asyncable ignore it): writes queue and
-	// group-commit in batches of up to CoalesceWindow submissions, and Close
-	// drains the queue. Used by the coalescing ablation (E16).
-	Async bool
-	// CoalesceWindow is the async batch size (0 = library default).
-	CoalesceWindow int
-	// MaxInflight is the async queue bound (0 = library default).
-	MaxInflight int
-	// Pools shards the namespace across this many PMEM pools (libraries
-	// that do not implement pio.Poolable ignore it; <=1 = single pool). The
-	// harness provisions the node with one device per pool, each of
-	// DeviceSize bytes. Used by the multi-pool ablation (E17).
-	Pools int
+	// Capabilities asks the library for optional features (copy and gather
+	// workers, instrumented sessions, verified reads, the async pipeline,
+	// pool sharding) through pio.Configurable; libraries that do not
+	// implement it ignore them. Parallelism <= 1 leaves the library's own
+	// worker count, and CoalesceWindow/MaxInflight apply only with Async.
+	// Metrics also captures an observability snapshot per phase into the
+	// Result. Pools additionally provisions the node with one device per
+	// pool, each of DeviceSize bytes.
+	pio.Capabilities
 }
 
 // Result is one (library, ranks) measurement.
@@ -121,61 +101,21 @@ func Run(lib pio.Library, p Params) (Result, error) {
 	return res, nil
 }
 
-// configure applies the run parameters' optional capabilities to the library.
-// The supported path is one pio.Configurable call: wrappers forward Configure
-// explicitly, so a library's capabilities cannot be hidden by an embedding
-// wrapper the way the old per-feature type assertions were (every wrapped
-// assertion silently failed and the run measured an unconfigured store).
-// Libraries that predate Configurable fall back to the deprecated probes.
+// configure applies the run parameters' optional capabilities to the library
+// through one pio.Configurable call.
 func configure(lib pio.Library, p Params) pio.Library {
-	caps := pio.Capabilities{
-		ReadParallelism: p.ReadParallelism,
-		Metrics:         p.Metrics,
-		VerifyReads:     p.VerifyReads,
-		Async:           p.Async,
-		Pools:           p.Pools,
+	cz, ok := lib.(pio.Configurable)
+	if !ok {
+		return lib
 	}
-	if p.Parallelism > 1 {
-		caps.Parallelism = p.Parallelism
+	caps := p.Capabilities
+	if caps.Parallelism <= 1 {
+		caps.Parallelism = 0
 	}
-	if p.Async {
-		caps.CoalesceWindow = p.CoalesceWindow
-		caps.MaxInflight = p.MaxInflight
+	if !caps.Async {
+		caps.CoalesceWindow, caps.MaxInflight = 0, 0
 	}
-	if cz, ok := lib.(pio.Configurable); ok {
-		return cz.Configure(caps)
-	}
-	if caps.Parallelism > 1 {
-		if pz, ok := lib.(pio.Parallelizable); ok {
-			lib = pz.WithParallelism(caps.Parallelism)
-		}
-	}
-	if caps.ReadParallelism != 0 {
-		if rp, ok := lib.(pio.ReadParallelizable); ok {
-			lib = rp.WithReadParallelism(caps.ReadParallelism)
-		}
-	}
-	if caps.Metrics {
-		if iz, ok := lib.(pio.Instrumentable); ok {
-			lib = iz.WithMetrics()
-		}
-	}
-	if caps.VerifyReads != 0 {
-		if vz, ok := lib.(pio.Verifiable); ok {
-			lib = vz.WithVerifyReads(caps.VerifyReads)
-		}
-	}
-	if caps.Async {
-		if az, ok := lib.(pio.Asyncable); ok {
-			lib = az.WithAsync(caps.CoalesceWindow, caps.MaxInflight)
-		}
-	}
-	if caps.Pools > 1 {
-		if pl, ok := lib.(pio.Poolable); ok {
-			lib = pl.WithPools(caps.Pools)
-		}
-	}
-	return lib
+	return cz.Configure(caps)
 }
 
 func runOnce(lib pio.Library, p Params) (Result, error) {

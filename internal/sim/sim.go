@@ -123,20 +123,7 @@ func (p *Pool) Release() { p.active.Add(-1) }
 // Share returns the bandwidth currently available to a single user: the
 // pool's total divided by the active user count, further limited by the
 // per-user cap when one is set.
-func (p *Pool) Share() float64 {
-	n := p.preset.Load()
-	if n == 0 {
-		n = p.active.Load()
-	}
-	if n < 1 {
-		n = 1
-	}
-	s := p.bps / float64(n)
-	if p.perUser > 0 && p.perUser < s {
-		return p.perUser
-	}
-	return s
-}
+func (p *Pool) Share() float64 { return p.GroupShare(1) }
 
 // Cost returns the virtual time needed to move n bytes at the pool's current
 // per-user share.
@@ -186,23 +173,7 @@ func BytesAt(n int64, bps float64) time.Duration {
 //
 // perCoreBPS <= 0 means the movement is not CPU-limited.
 func MoveCost(n int64, perCoreBPS, oversub float64, pools ...*Pool) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	if oversub < 1 {
-		oversub = 1
-	}
-	eff := 0.0
-	if perCoreBPS > 0 {
-		eff = perCoreBPS / oversub
-	}
-	for _, p := range pools {
-		s := p.Share()
-		if eff == 0 || s < eff {
-			eff = s
-		}
-	}
-	return BytesAt(n, eff)
+	return MoveCostParallel(n, perCoreBPS, oversub, 1, pools...)
 }
 
 // MoveCostParallel models a data movement of n bytes executed by `workers`
@@ -211,8 +182,6 @@ func MoveCost(n int64, perCoreBPS, oversub float64, pools ...*Pool) time.Duratio
 // oversubscription factor computed for rank*worker total threads), and each
 // pool contributes its GroupShare: the rank's slice of the device, with the
 // per-stream cap lifted by the worker count. The slowest constraint wins.
-//
-// With workers == 1 this reduces exactly to MoveCost.
 func MoveCostParallel(n int64, perCoreBPS, oversub float64, workers int, pools ...*Pool) time.Duration {
 	if n <= 0 {
 		return 0
